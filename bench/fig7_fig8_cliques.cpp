@@ -83,7 +83,7 @@ int main() {
     DynBitset active(graph.size());
     for (AgId id : subset) active.set(id);
     CliqueGenStats stats;
-    const auto cliques = generateMaximalCliques(matrix, active, 1000, &stats);
+    const auto cliques = fig8MaximalCliques(matrix, active, 1000, &stats);
     std::printf("Figure 8 — maximal cliques generated (%zu, with %zu "
                 "gen_max_clique calls, %zu branches pruned by i < index):\n",
                 cliques.size(), stats.recursions, stats.pruned);

@@ -5,6 +5,7 @@
 
 #include "core/assign_explore.h"
 #include "core/assigned.h"
+#include "core/bound.h"
 #include "core/legality.h"
 #include "core/spill.h"
 #include "support/error.h"
@@ -31,16 +32,8 @@ class ScheduleSearch {
         timer_(timer),
         deadline_(deadline),
         best_(best),
-        states_(statesVisited) {
-    heights_ = graph.levelsFromTop();
-    for (AgId id = 0; id < graph.size(); ++id) {
-      const AgNode& n = graph.node(id);
-      if (n.deleted()) continue;
-      ++active_;
-      if (n.kind == AgKind::kOp) unitWork_[n.unit] += 1;
-      if (n.isTransferish()) busWork_[graph.busOf(id)] += 1;
-    }
-  }
+        states_(statesVisited),
+        bound_(graph) {}
 
   // True when the search space was exhausted (not cut by the deadline).
   bool run() {
@@ -53,26 +46,6 @@ class ScheduleSearch {
   }
 
  private:
-  int lowerBound(const DynBitset& covered) const {
-    std::map<UnitId, int> unitLeft;
-    std::map<BusId, int> busLeft;
-    int critical = 0;
-    for (AgId id = 0; id < graph_.size(); ++id) {
-      if (graph_.node(id).deleted() || covered.test(id)) continue;
-      const AgNode& n = graph_.node(id);
-      if (n.kind == AgKind::kOp) unitLeft[n.unit] += 1;
-      if (n.isTransferish()) busLeft[graph_.busOf(id)] += 1;
-      critical = std::max(critical, heights_[id] + 1);
-    }
-    int bound = critical;
-    for (const auto& [unit, left] : unitLeft) bound = std::max(bound, left);
-    for (const auto& [bus, left] : busLeft) {
-      const int cap = graph_.machine().bus(bus).capacity;
-      bound = std::max(bound, (left + cap - 1) / cap);
-    }
-    return bound;
-  }
-
   void dfs(const DynBitset& covered, int depth) {
     if (expired_) return;
     if ((++*states_ & 0x3ff) == 0 && timer_.seconds() > deadline_) {
@@ -84,7 +57,7 @@ class ScheduleSearch {
       *best_ = std::min(*best_, depth);
       return;
     }
-    if (depth + lowerBound(covered) >= *best_) return;
+    if (depth + bound_.exact(covered) >= *best_) return;
 
     // Dominance: a state reached at equal-or-smaller depth before subsumes
     // this one.
@@ -157,10 +130,7 @@ class ScheduleSearch {
   double deadline_;
   int* best_;
   size_t* states_;
-  std::vector<int> heights_;
-  std::map<UnitId, int> unitWork_;
-  std::map<BusId, int> busWork_;
-  size_t active_ = 0;
+  CoverBound bound_;  // no spills here, so the exact bound applies
   bool expired_ = false;
   std::map<DynBitset, int, BitsetLess> memo_;
 };

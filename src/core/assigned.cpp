@@ -23,11 +23,6 @@ void AssignedGraph::addDep(AgId from, AgId to) {
     preds.push_back(from);
 }
 
-const AgNode& AssignedGraph::node(AgId id) const {
-  AVIV_CHECK(id < nodes_.size());
-  return nodes_[id];
-}
-
 size_t AssignedGraph::numActiveNodes() const {
   size_t n = 0;
   for (const AgNode& node : nodes_) n += node.deleted() ? 0 : 1;

@@ -28,6 +28,7 @@
 #include "core/splitnode.h"
 #include "support/arena.h"
 #include "support/bitset.h"
+#include "support/error.h"
 #include "support/smallvec.h"
 
 namespace aviv {
@@ -130,7 +131,10 @@ class AssignedGraph {
   [[nodiscard]] const Machine& machine() const { return *machine_; }
 
   [[nodiscard]] size_t size() const { return nodes_.size(); }
-  [[nodiscard]] const AgNode& node(AgId id) const;
+  [[nodiscard]] const AgNode& node(AgId id) const {
+    AVIV_CHECK(id < nodes_.size());
+    return nodes_[id];
+  }
   [[nodiscard]] size_t numActiveNodes() const;
 
   // Output bindings: block output name -> AgNode producing its value.

@@ -8,10 +8,105 @@ namespace aviv {
 
 namespace {
 
-// The recursion works on raw word buffers bump-allocated from an arena (one
-// clique + cand pair per branch, rewound as each branch returns), so a round
-// of generation touches malloc only for the emitted cliques themselves.
-struct Generator {
+// Both generators work on raw word buffers bump-allocated from an arena
+// (rewound as each branch returns), so a round of generation touches malloc
+// only for the emitted cliques themselves.
+
+// Pivoted Bron–Kerbosch. `p` holds the candidates parallel with every
+// member of the current clique, `x` the nodes parallel with every member
+// whose cliques through the current clique were already enumerated; the
+// clique is maximal iff both are empty. Each maximal clique is reached
+// exactly once, in an order fixed by (matrix, active).
+struct BronKerbosch {
+  const ParallelismMatrix& matrix;
+  size_t maxCliques;
+  CliqueGenStats* stats;
+  Arena& arena;
+  size_t n;      // node count (bits per set)
+  size_t words;  // uint64_t words per set
+  uint32_t* members = nullptr;  // current clique, `depth` entries
+  size_t depth = 0;
+  bool stop = false;  // the cap dropped a clique: unwind
+  std::vector<DynBitset> out{};
+
+  void emit() {
+    if (out.size() >= maxCliques) {
+      if (stats != nullptr) stats->capped = true;
+      stop = true;
+      return;
+    }
+    DynBitset clique(n);
+    for (size_t k = 0; k < depth; ++k) clique.set(members[k]);
+    out.push_back(std::move(clique));
+  }
+
+  // Both buffers are owned (mutated) by this invocation.
+  void expand(uint64_t* p, uint64_t* x) {
+    if (stats != nullptr) ++stats->recursions;
+    if (!bits::any(p, words)) {
+      if (!bits::any(x, words)) emit();
+      return;
+    }
+    // Pivot: the node of p | x with the most neighbours in p. Its
+    // neighbours need no branch of their own — every maximal clique
+    // containing one of them is reached through a non-neighbour or the
+    // pivot itself.
+    size_t pCount = 0;
+    for (size_t w = 0; w < words; ++w)
+      pCount += static_cast<size_t>(__builtin_popcountll(p[w]));
+    size_t pivot = n;
+    size_t pivotDegree = 0;
+    for (size_t w = 0; w < words && pivotDegree < pCount; ++w) {
+      for (uint64_t bitsLeft = p[w] | x[w]; bitsLeft != 0;
+           bitsLeft &= bitsLeft - 1) {
+        const size_t u =
+            w * 64 + static_cast<size_t>(__builtin_ctzll(bitsLeft));
+        const uint64_t* row = matrix.row(static_cast<AgId>(u)).wordData();
+        size_t degree = 0;
+        for (size_t v = 0; v < words; ++v)
+          degree += static_cast<size_t>(__builtin_popcountll(p[v] & row[v]));
+        if (pivot == n || degree > pivotDegree) {
+          pivot = u;
+          pivotDegree = degree;
+          if (degree == pCount) break;
+        }
+      }
+    }
+    if (stats != nullptr) stats->pruned += pivotDegree;
+
+    uint64_t* branch = arena.alloc<uint64_t>(words);
+    bits::andNotInto(branch, p,
+                     matrix.row(static_cast<AgId>(pivot)).wordData(), words);
+    for (size_t v = bits::findFirst(branch, 0, n); v < n;
+         v = bits::findFirst(branch, v + 1, n)) {
+      const Arena::Mark branchMark = arena.mark();
+      const uint64_t* row = matrix.row(static_cast<AgId>(v)).wordData();
+      uint64_t* nextP = arena.alloc<uint64_t>(words);
+      bits::andInto(nextP, p, row, words);
+      uint64_t* nextX = arena.alloc<uint64_t>(words);
+      bits::andInto(nextX, x, row, words);
+      members[depth++] = static_cast<uint32_t>(v);
+      expand(nextP, nextX);
+      --depth;
+      arena.rewind(branchMark);
+      if (stop) return;
+      bits::reset(p, v);
+      bits::set(x, v);
+    }
+  }
+
+  void run(const DynBitset& active) {
+    members = arena.alloc<uint32_t>(n == 0 ? 1 : n);
+    uint64_t* p = arena.alloc<uint64_t>(words);
+    bits::copy(p, active.wordData(), words);
+    uint64_t* x = arena.alloc<uint64_t>(words);
+    bits::clear(x, words);
+    if (bits::any(p, words)) expand(p, x);
+  }
+};
+
+// Paper Fig 8.
+struct Fig8Generator {
   const ParallelismMatrix& matrix;
   const DynBitset& active;
   size_t maxCliques;
@@ -23,9 +118,9 @@ struct Generator {
 
   [[nodiscard]] uint64_t* allocSet() { return arena.alloc<uint64_t>(words); }
 
-  // Paper Fig 8. `clique` is the current clique; `cand` the nodes parallel
-  // with every clique member; `index` the largest seed/branch node so far.
-  // Both buffers are owned (mutated) by this invocation.
+  // `clique` is the current clique; `cand` the nodes parallel with every
+  // clique member; `index` the largest seed/branch node so far. Both
+  // buffers are owned (mutated) by this invocation.
   void gen(uint64_t* clique, uint64_t* cand, size_t index) {
     if (stats != nullptr) ++stats->recursions;
     if (out.size() >= maxCliques) {
@@ -127,67 +222,29 @@ std::vector<DynBitset> generateMaximalCliques(const ParallelismMatrix& matrix,
   Arena localArena;
   Arena& arena = scratch != nullptr ? *scratch : localArena;
   const ArenaScope scope(arena);
-  Generator gen{matrix, active,        maxCliques,         stats,
-                arena,  active.size(), active.wordCount(), {}};
+  BronKerbosch gen{matrix, maxCliques,    stats,
+                   arena,  active.size(), active.wordCount()};
+  gen.run(active);
+  sortAndDedup(gen.out);
+  if (stats != nullptr) stats->emitted = gen.out.size();
+  return std::move(gen.out);
+}
+
+std::vector<DynBitset> fig8MaximalCliques(const ParallelismMatrix& matrix,
+                                          const DynBitset& active,
+                                          size_t maxCliques,
+                                          CliqueGenStats* stats,
+                                          Arena* scratch) {
+  AVIV_CHECK(active.size() == matrix.size());
+  Arena localArena;
+  Arena& arena = scratch != nullptr ? *scratch : localArena;
+  const ArenaScope scope(arena);
+  Fig8Generator gen{matrix, active,        maxCliques,         stats,
+                    arena,  active.size(), active.wordCount(), {}};
   gen.run();
   sortAndDedup(gen.out);
   if (stats != nullptr) stats->emitted = gen.out.size();
-  return gen.out;
-}
-
-namespace {
-
-void bronKerbosch(const ParallelismMatrix& matrix, DynBitset r, DynBitset p,
-                  DynBitset x, std::vector<DynBitset>& out) {
-  if (p.none() && x.none()) {
-    out.push_back(std::move(r));
-    return;
-  }
-  // Pivot: candidate from p | x with the most neighbours in p.
-  DynBitset px = p;
-  px |= x;
-  size_t pivot = px.findFirst();
-  size_t bestDeg = 0;
-  for (size_t u = px.findFirst(); u < px.size(); u = px.findFirst(u + 1)) {
-    const size_t deg = p.intersectCount(matrix.row(u));
-    if (deg >= bestDeg) {
-      bestDeg = deg;
-      pivot = u;
-    }
-  }
-  DynBitset branch = p;
-  branch.andNot(matrix.row(pivot));
-  for (size_t v = branch.findFirst(); v < branch.size();
-       v = branch.findFirst(v + 1)) {
-    DynBitset r2 = r;
-    r2.set(v);
-    DynBitset p2 = p;
-    p2 &= matrix.row(v);
-    DynBitset x2 = x;
-    x2 &= matrix.row(v);
-    bronKerbosch(matrix, std::move(r2), std::move(p2), std::move(x2), out);
-    p.reset(v);
-    x.set(v);
-  }
-}
-
-}  // namespace
-
-std::vector<DynBitset> referenceMaximalCliques(const ParallelismMatrix& matrix,
-                                               const DynBitset& active) {
-  AVIV_CHECK(active.size() == matrix.size());
-  std::vector<DynBitset> out;
-  DynBitset p = active;
-  // Restrict rows to active implicitly by intersecting p/x with active rows:
-  // start from p = active and never add non-active nodes.
-  bronKerbosch(matrix, DynBitset(active.size()), std::move(p),
-               DynBitset(active.size()), out);
-  // Bron-Kerbosch over the full rows can include non-active neighbours in
-  // its maximality notion; rows already exclude deleted nodes, and callers
-  // pass active = uncovered. Intersect defensively and re-dedup.
-  for (DynBitset& clique : out) clique &= active;
-  sortAndDedup(out);
-  return out;
+  return std::move(gen.out);
 }
 
 }  // namespace aviv

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -56,11 +57,26 @@ bool candidateBetter(const Candidate& a, int instructions, int spills,
 
 }  // namespace
 
+CodegenOptions explorationOptions(const BlockDag& ir, const SplitNodeDag& snd,
+                                  const CodegenOptions& options) {
+  CodegenOptions exploreOptions = options;
+  if (options.smallSpaceExhaustive == 0) return exploreOptions;
+  size_t space = 1;
+  for (NodeId id = 0; id < ir.size(); ++id) {
+    if (isLeafOp(ir.node(id).op)) continue;
+    space *= snd.altsOf(id).size();
+    if (space > options.smallSpaceExhaustive) return exploreOptions;
+  }
+  exploreOptions.assignPruneIncremental = false;
+  exploreOptions.assignBeamWidth = 0;
+  exploreOptions.assignKeepBest = 1 << 30;
+  return exploreOptions;
+}
+
 CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
                       const MachineDatabases& dbs,
                       const CodegenOptions& options, ThreadPool* pool,
-                      TelemetryNode* phase, const Deadline* deadline,
-                      WorkspaceCache* wsCache) {
+                      TelemetryNode* phase, const Deadline* deadline) {
   WallTimer timer;
   TelemetryNode scratch("block:" + ir.name());
   TelemetryNode& tel = phase != nullptr ? *phase : scratch;
@@ -98,46 +114,18 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
   stats.irNodes = ir.size();
   stats.sndNodes = snd.size();
 
-  // Adaptive shortcut: enumerate tiny assignment spaces outright.
-  CodegenOptions exploreOptions = options;
-  if (options.smallSpaceExhaustive > 0) {
-    size_t space = 1;
-    for (NodeId id = 0; id < ir.size(); ++id) {
-      if (isLeafOp(ir.node(id).op)) continue;
-      space *= snd.altsOf(id).size();
-      if (space > options.smallSpaceExhaustive) break;
-    }
-    if (space <= options.smallSpaceExhaustive) {
-      exploreOptions.assignPruneIncremental = false;
-      exploreOptions.assignBeamWidth = 0;
-      exploreOptions.assignKeepBest = 1 << 30;
-    }
-  }
+  const CodegenOptions exploreOptions = explorationOptions(ir, snd, options);
   const bool parallel = pool != nullptr && options.jobs > 1;
   const int numWorkers = parallel ? pool->parallelism() : 1;
 
-  // Per-worker covering workspaces, leased from the session cache (or a
-  // call-local one) and shared by exploration (worker 0's arena) and both
-  // tryAssignments passes. Returned to the cache on every exit path so a
-  // warm session keeps its arena chunks.
-  WorkspaceCache localWsCache;
-  WorkspaceCache& wsPool = wsCache != nullptr ? *wsCache : localWsCache;
-  struct WorkspaceLease {
-    WorkspaceCache& cache;
-    std::vector<std::unique_ptr<CoverWorkspace>> ws;
-    WorkspaceLease(WorkspaceCache& cache, size_t n) : cache(cache), ws(n) {
-      for (auto& w : ws) w = cache.acquire();
-    }
-    ~WorkspaceLease() {
-      for (auto& w : ws) cache.release(std::move(w));
-    }
-  };
-  WorkspaceLease lease(wsPool, static_cast<size_t>(numWorkers));
+  // Per-worker covering workspaces, shared by exploration (worker 0's
+  // arena) and both tryAssignments passes.
+  std::vector<CoverWorkspace> workspaces(static_cast<size_t>(numWorkers));
 
   const std::vector<Assignment> assignments = [&] {
     PhaseScope ph(tel, "explore");
     AssignmentExplorer explorer(snd, exploreOptions, deadline,
-                                &lease.ws[0]->arena);
+                                &workspaces[0].arena);
     return explorer.explore(&stats.explore);
   }();
   AVIV_REQUIRE(!assignments.empty());
@@ -165,16 +153,19 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
   std::atomic<bool> anySuccess{false};
   std::atomic<bool> timedOut{false};
 
-  // Covers every selected assignment (the parallel stage): each worker
-  // materializes and covers candidates independently, keeping a worker-
-  // local best; the serial reduction afterwards picks the deterministic
-  // global winner and the highest-index failure message (what the serial
-  // loop's "last failure" ends up being).
+  // Covers the selected assignments (the parallel stage) wave by wave: each
+  // worker materializes and covers candidates independently, keeping a
+  // worker-local best; the serial reduction afterwards picks the
+  // deterministic global winner and the highest-index failure message (what
+  // the serial loop's "last failure" ends up being).
   auto tryAssignments = [&](const std::vector<Assignment>& candidates) {
     PhaseScope ph(tel, "cover");
     std::vector<std::optional<Candidate>> workerBest(
         static_cast<size_t>(numWorkers));
     std::vector<size_t> covered(static_cast<size_t>(numWorkers), 0);
+    // Fewest instructions of any candidate completed in an earlier wave;
+    // read-only while a wave runs.
+    int incumbent = std::numeric_limits<int>::max();
     std::vector<std::pair<size_t, std::string>> failures(
         static_cast<size_t>(numWorkers));
     // Per-worker search-total accumulators (summed serially afterwards, so
@@ -185,6 +176,7 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
       size_t candidatesAbandoned = 0;
       size_t spills = 0;
       size_t failed = 0;
+      size_t bounded = 0;
       uint64_t arenaCalls = 0;
       uint64_t arenaBytes = 0;
       uint64_t arenaHighWater = 0;
@@ -211,7 +203,7 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
       span.arg("index", static_cast<int64_t>(index));
       const Assignment& assignment = candidates[index];
       WorkerSearch& search = workerSearch[worker];
-      CoverWorkspace& ws = *lease.ws[worker];
+      CoverWorkspace& ws = workspaces[worker];
       // Everything a candidate allocates in the workspace arena is released
       // here; the graph's own pools are untouched (the winner escapes).
       const ArenaScope candidateScope(ws.arena);
@@ -232,9 +224,19 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
       CoveringEngine engine(graph, dbs.transfers, dbs.constraints, options,
                             deadline, &ws);
       CoverStats coverStats;
-      Schedule schedule;
+      std::optional<Schedule> schedule;
+      // Work done before a candidate is abandoned or fails still counts
+      // (deterministic: each candidate stops at the same point on any
+      // worker).
+      auto recordWork = [&] {
+        search.cliqueRecursions += coverStats.cliqueRecursions;
+        search.cliquePruned += coverStats.cliquePruned;
+        search.candidatesAbandoned += coverStats.candidatesAbandoned;
+        search.spills += static_cast<size_t>(coverStats.spillsInserted);
+        recordArena();
+      };
       try {
-        schedule = engine.run(&coverStats);
+        schedule = engine.run(&coverStats, incumbent);
       } catch (const DeadlineExceeded&) {
         // Budget ran out mid-covering: the partial schedule is unusable,
         // but an earlier candidate's complete covering (if any) still wins.
@@ -242,29 +244,23 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
         return;
       } catch (const Error& e) {
         // This assignment cannot satisfy the register limits; try others.
-        // Its partial covering work still happened — count it (the partial
-        // stats are deterministic: each candidate fails at the same point
-        // regardless of the worker that ran it).
-        search.cliqueRecursions += coverStats.cliqueRecursions;
-        search.cliquePruned += coverStats.cliquePruned;
-        search.candidatesAbandoned += coverStats.candidatesAbandoned;
-        search.spills += static_cast<size_t>(coverStats.spillsInserted);
+        recordWork();
         search.failed += 1;
-        recordArena();
         auto& fail = failures[worker];
         if (fail.second.empty() || index > fail.first)
           fail = {index, e.what()};
         return;
       }
-      search.cliqueRecursions += coverStats.cliqueRecursions;
-      search.cliquePruned += coverStats.cliquePruned;
-      search.candidatesAbandoned += coverStats.candidatesAbandoned;
-      search.spills += static_cast<size_t>(coverStats.spillsInserted);
-      recordArena();
+      recordWork();
+      if (!schedule.has_value()) {
+        search.bounded += 1;
+        span.arg("bounded", 1);
+        return;
+      }
       ++covered[worker];
       anySuccess.store(true, std::memory_order_relaxed);
       std::optional<Candidate>& mine = workerBest[worker];
-      const int instructions = schedule.numInstructions();
+      const int instructions = schedule->numInstructions();
       Completion& done = completions[index];
       done.completed = true;
       done.instructions = instructions;
@@ -278,14 +274,23 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
                           index)) {
         mine.emplace(Candidate{instructions, coverStats.spillsInserted, index,
                                assignment, std::move(graph),
-                               std::move(schedule), coverStats});
+                               std::move(*schedule), coverStats});
       }
     };
 
-    if (parallel && candidates.size() > 1) {
-      pool->parallelFor(candidates.size(), coverOne);
-    } else {
-      for (size_t i = 0; i < candidates.size(); ++i) coverOne(i, 0);
+    for (size_t begin = 0; begin < candidates.size();
+         begin += kCoverWaveWidth) {
+      const size_t width = std::min(kCoverWaveWidth, candidates.size() - begin);
+      if (parallel && width > 1) {
+        pool->parallelFor(width, [&](size_t i, int worker) {
+          coverOne(begin + i, worker);
+        });
+      } else {
+        for (size_t i = 0; i < width; ++i) coverOne(begin + i, 0);
+      }
+      for (size_t i = begin; i < begin + width; ++i)
+        if (completions[i].completed)
+          incumbent = std::min(incumbent, completions[i].instructions);
     }
 
     size_t failIndex = 0;
@@ -293,6 +298,8 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
     for (size_t w = 0; w < static_cast<size_t>(numWorkers); ++w) {
       stats.assignmentsCovered += covered[w];
       const WorkerSearch& search = workerSearch[w];
+      stats.assignmentsFailed += search.failed;
+      stats.search.assignmentsBounded += search.bounded;
       stats.search.nodesVisited += search.cliqueRecursions;
       stats.search.prunedByBound += search.cliquePruned;
       stats.search.backtracks += search.spills + search.failed;
@@ -349,7 +356,7 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
     wide.assignBeamWidth = 256;
     wide.assignKeepBest = 64;
     AssignmentExplorer wideExplorer(snd, wide, deadline,
-                                    &lease.ws[0]->arena);
+                                    &workspaces[0].arena);
     tryAssignments(wideExplorer.explore());
   }
   if (!best.has_value() && timedOut.load(std::memory_order_relaxed))
@@ -379,6 +386,8 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
         .add(static_cast<int64_t>(stats.search.backtracks));
     registry.counter("search.candidatesAbandoned")
         .add(static_cast<int64_t>(stats.search.candidatesAbandoned));
+    registry.counter("search.assignmentsBounded")
+        .add(static_cast<int64_t>(stats.search.assignmentsBounded));
     registry.counter("alloc.arena.calls")
         .add(static_cast<int64_t>(stats.search.arenaCalls));
     registry.counter("alloc.arena.bytes")
@@ -393,20 +402,6 @@ CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
   recordCoreStats(result.stats, tel);
   tel.addSeconds(stats.seconds);
   return result;
-}
-
-CoreResult coverBlock(const BlockDag& ir, CodegenContext& ctx,
-                      TelemetryNode* phase) {
-  return coverBlock(ir, ctx, ctx.options(), phase);
-}
-
-CoreResult coverBlock(const BlockDag& ir, CodegenContext& ctx,
-                      const CodegenOptions& options, TelemetryNode* phase) {
-  TelemetryNode& tel = phase != nullptr
-                           ? *phase
-                           : ctx.telemetry().child("block:" + ir.name());
-  return coverBlock(ir, ctx.machine(), ctx.databases(), options, ctx.pool(),
-                    &tel, &ctx.deadline(), &ctx.workspaces());
 }
 
 void recordCoreStats(const CoreStats& stats, TelemetryNode& phase) {
@@ -425,6 +420,10 @@ void recordCoreStats(const CoreStats& stats, TelemetryNode& phase) {
   TelemetryNode& cover = phase.child("cover");
   cover.setCounter("assignmentsCovered",
                    static_cast<int64_t>(stats.assignmentsCovered));
+  cover.setCounter("assignmentsBounded",
+                   static_cast<int64_t>(stats.search.assignmentsBounded));
+  cover.setCounter("assignmentsFailed",
+                   static_cast<int64_t>(stats.assignmentsFailed));
   cover.setCounter("cliquesGenerated",
                    static_cast<int64_t>(stats.cover.cliquesGenerated));
   cover.setCounter("cliqueRounds",
@@ -456,6 +455,8 @@ void recordCoreStats(const CoreStats& stats, TelemetryNode& phase) {
                     static_cast<int64_t>(stats.search.backtracks));
   search.setCounter("candidatesAbandoned",
                     static_cast<int64_t>(stats.search.candidatesAbandoned));
+  search.setCounter("assignmentsBounded",
+                    static_cast<int64_t>(stats.search.assignmentsBounded));
   search.setCounter("arenaCalls",
                     static_cast<int64_t>(stats.search.arenaCalls));
   search.setCounter("arenaBytes",
@@ -483,6 +484,8 @@ CoreStats coreStatsView(const TelemetryNode& phase) {
   if (const TelemetryNode* cover = phase.findChild("cover")) {
     stats.assignmentsCovered =
         static_cast<size_t>(cover->counter("assignmentsCovered"));
+    stats.assignmentsFailed =
+        static_cast<size_t>(cover->counter("assignmentsFailed"));
     stats.cover.cliquesGenerated =
         static_cast<size_t>(cover->counter("cliquesGenerated"));
     stats.cover.cliqueRounds =
@@ -516,6 +519,8 @@ CoreStats coreStatsView(const TelemetryNode& phase) {
         static_cast<size_t>(search->counter("backtracks"));
     stats.search.candidatesAbandoned =
         static_cast<size_t>(search->counter("candidatesAbandoned"));
+    stats.search.assignmentsBounded =
+        static_cast<size_t>(search->counter("assignmentsBounded"));
     stats.search.arenaCalls =
         static_cast<uint64_t>(search->counter("arenaCalls"));
     stats.search.arenaBytes =

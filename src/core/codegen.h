@@ -37,6 +37,9 @@ struct SearchStats {
                                    // + register-infeasible candidates
   size_t candidatesAbandoned = 0;  // covering candidates with no fitting
                                    // member subset
+  size_t assignmentsBounded = 0;   // candidate assignments abandoned by the
+                                   // covering bound (could not beat or tie
+                                   // the incumbent)
   // Workspace-arena accounting over all candidate coverings. Chunk-boundary
   // waste is never charged (see support/arena.h), so calls/bytes are exact
   // per-candidate sums and highWater is a max of per-candidate peaks —
@@ -64,6 +67,7 @@ struct CoreStats {
   size_t sndNodes = 0;  // Split-Node DAG size (Table I column)
   ExploreStats explore;
   size_t assignmentsCovered = 0;  // assignments taken through full covering
+  size_t assignmentsFailed = 0;   // register-infeasible assignments
   CoverStats cover;               // of the winning assignment
   SearchStats search;             // totals across ALL candidates
   std::vector<TrajectoryPoint> trajectory;  // best-cost-over-time
@@ -81,7 +85,15 @@ struct CoreResult {
 // Runs steps 1-4 above. Lifetimes: `ir`, `machine` and `dbs` must outlive
 // the returned result (the graph references them).
 //
-// When `pool` is non-null and options.jobs > 1, the selected assignments are
+// Branch-and-bound over candidates: the selected assignments are covered in
+// waves of kCoverWaveWidth, in index order. Every candidate of a wave gets
+// as its incumbent the fewest instructions of any candidate completed in an
+// earlier wave, and the covering engine abandons it once it provably cannot
+// beat or tie that (SearchStats::assignmentsBounded). The incumbent changes
+// only between waves, so which candidates are abandoned, and where, does
+// not depend on the worker count.
+//
+// When `pool` is non-null and options.jobs > 1, the candidates of a wave are
 // covered in parallel; the winner is reduced with a deterministic
 // (instructions, spills, candidate index) tie-break so the result is
 // bit-identical to the serial run. When `phase` is non-null the stage
@@ -89,31 +101,30 @@ struct CoreResult {
 // "explore", "cover" — see recordCoreStats for the counter names).
 //
 // Deadline semantics (anytime algorithm): `deadline` defaults to a local
-// budget armed from options.timeLimitSeconds (the context overloads pass
-// the session deadline instead). Once it expires, no further candidate
+// budget armed from options.timeLimitSeconds (the driver passes the session
+// deadline instead). Once it expires, no further candidate
 // assignments are started and the best complete covering found so far is
 // returned with stats.timedOut set; if it expires before ANY candidate
 // completes — including mid-exploration — DeadlineExceeded is thrown and
 // the driver degrades to the sequential baseline.
-// `wsCache` (optional) supplies per-worker CoverWorkspaces; the context
-// overloads pass the session cache so scratch survives across compiles.
 [[nodiscard]] CoreResult coverBlock(const BlockDag& ir, const Machine& machine,
                                     const MachineDatabases& dbs,
                                     const CodegenOptions& options,
                                     ThreadPool* pool = nullptr,
                                     TelemetryNode* phase = nullptr,
-                                    const Deadline* deadline = nullptr,
-                                    WorkspaceCache* wsCache = nullptr);
+                                    const Deadline* deadline = nullptr);
 
-// Session form: machine, databases, pool, and telemetry all come from `ctx`.
-// Stage telemetry lands under ctx.telemetry().child("block:<name>") unless
-// `phase` overrides the destination (the driver passes pre-created per-block
-// subtrees so parallel block compiles never share a node).
-[[nodiscard]] CoreResult coverBlock(const BlockDag& ir, CodegenContext& ctx,
-                                    TelemetryNode* phase = nullptr);
-[[nodiscard]] CoreResult coverBlock(const BlockDag& ir, CodegenContext& ctx,
-                                    const CodegenOptions& options,
-                                    TelemetryNode* phase = nullptr);
+// The options assignment exploration runs with inside coverBlock: `options`,
+// except that a block whose whole assignment space (the product of its
+// per-node alternative counts) is at most options.smallSpaceExhaustive is
+// enumerated outright — no pruning, no beam, every assignment kept.
+[[nodiscard]] CodegenOptions explorationOptions(const BlockDag& ir,
+                                                const SplitNodeDag& snd,
+                                                const CodegenOptions& options);
+
+// Candidates covered per wave. A constant, not an option: the wave width
+// fixes which candidates the bound abandons, and so the search counters.
+inline constexpr size_t kCoverWaveWidth = 8;
 
 // Typed view plumbing: the telemetry tree is the session's single source of
 // stage statistics; these convert between it and the stage-level structs.
@@ -121,7 +132,8 @@ struct CoreResult {
 //   counters irNodes, sndNodes
 //   child "explore": completeAssignments, statesExpanded, prunedByBound,
 //                    beamDropped, capped
-//   child "cover": assignmentsCovered, candidates, jobs, cliquesGenerated,
+//   child "cover": assignmentsCovered, assignmentsBounded,
+//                  assignmentsFailed, candidates, jobs, cliquesGenerated,
 //                  cliqueRounds, cliqueRecursions, cliquePruned,
 //                  candidatesEvaluated, candidatesAbandoned, spillsInserted,
 //                  timedOut
@@ -129,7 +141,8 @@ struct CoreResult {
 //                          instructions, spills (seconds = wall time, which
 //                          sameShapeAs ignores)
 //   child "search": nodesVisited, prunedByBound, backtracks,
-//                   candidatesAbandoned (order-independent totals)
+//                   candidatesAbandoned, assignmentsBounded, arenaCalls,
+//                   arenaBytes, arenaHighWater (order-independent totals)
 void recordCoreStats(const CoreStats& stats, TelemetryNode& phase);
 [[nodiscard]] CoreStats coreStatsView(const TelemetryNode& phase);
 

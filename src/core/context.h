@@ -15,7 +15,6 @@
 #include <optional>
 
 #include "core/options.h"
-#include "core/workspace.h"
 #include "isdl/databases.h"
 #include "isdl/machine.h"
 #include "support/deadline.h"
@@ -56,11 +55,6 @@ class CodegenContext {
   [[nodiscard]] TelemetryNode& telemetry() { return telemetry_; }
   [[nodiscard]] const TelemetryNode& telemetry() const { return telemetry_; }
 
-  // Session-lifetime pool of covering workspaces: per-worker scratch
-  // (arenas, bitsets, matrix rows) survives across blocks and compiles, so
-  // a warm daemon session re-covers without re-allocating.
-  [[nodiscard]] WorkspaceCache& workspaces() { return workspaces_; }
-
   // Memo slot for the service layer's canonical machine fingerprint
   // (src/service/fingerprint.*). The machine is immutable after
   // validation, so the fingerprint is computed once per session. Set it
@@ -78,7 +72,6 @@ class CodegenContext {
   TelemetryNode telemetry_;
   Deadline deadline_;
   std::unique_ptr<ThreadPool> pool_;
-  WorkspaceCache workspaces_;
   std::optional<Hash128> machineFp_;
 };
 

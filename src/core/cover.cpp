@@ -1,12 +1,12 @@
 #include "core/cover.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <tuple>
-#include <cstdio>
+#include <limits>
 #include <map>
 #include <set>
+#include <tuple>
 
+#include "core/bound.h"
 #include "core/clique.h"
 #include "core/legality.h"
 #include "core/spill.h"
@@ -43,6 +43,9 @@ CoveringEngine::CoveringEngine(AssignedGraph& graph,
 
 namespace {
 
+// Rounds per sample of the cover.covered trace counter (a power of two).
+constexpr size_t kProgressSampleRounds = 16;
+
 // Live-out values (block outputs) never die.
 DynBitset liveOutSet(const AssignedGraph& graph) {
   DynBitset liveOut(graph.size());
@@ -54,6 +57,12 @@ DynBitset liveOutSet(const AssignedGraph& graph) {
 }  // namespace
 
 Schedule CoveringEngine::run(CoverStats* stats) {
+  // No incumbent: emitted + bound never exceeds INT_MAX.
+  return *run(stats, std::numeric_limits<int>::max());
+}
+
+std::optional<Schedule> CoveringEngine::run(CoverStats* stats,
+                                            int incumbent) {
   CoverStats localStats;
   CoverStats& st = stats != nullptr ? *stats : localStats;
   st = CoverStats{};
@@ -74,18 +83,29 @@ Schedule CoveringEngine::run(CoverStats* stats) {
 
   SpillState spillState;
   std::vector<DynBitset> cliques;
-  std::vector<int> heights;  // level from top: critical-path priority
+  // Level from the top (critical-path priority), left in the workspace by
+  // every matrix rebuild.
+  const std::vector<int>& heights = ws.levelTop;
+  CoverBound bound(graph_);
   bool rebuild = true;
   const size_t spillGuard = 4 * graph_.size() + 64;
 
-  while (true) {
-    if (covered.count() == graph_.size()) break;
-    if (deadline_ != nullptr) {
-      trace::instant("search", "cover.deadline-poll", {}, "covered",
-                     static_cast<int64_t>(covered.count()), "total",
-                     static_cast<int64_t>(graph_.size()));
-      deadline_->check("covering");
-    }
+  for (size_t round = 0;; ++round) {
+    const size_t coveredCount = covered.count();
+    if (coveredCount == graph_.size()) break;
+    if (deadline_ != nullptr) deadline_->check("covering");
+    // Progress as a sampled counter series rather than one event per
+    // round, so long coverings do not flush the flight-recorder tail.
+    if ((round & (kProgressSampleRounds - 1)) == kProgressSampleRounds - 1)
+      trace::counter("search", "cover.covered", "nodes",
+                     static_cast<int64_t>(coveredCount));
+
+    // Branch-and-bound: abandon a candidate that can no longer beat or tie
+    // the incumbent. `bound` is reset after every spill (below).
+    const int lowerBound = schedule.numInstructions() +
+                           bound.spillInvariant(covered);
+    st.lowerBound = std::max(st.lowerBound, lowerBound);
+    if (lowerBound > incumbent) return std::nullopt;
 
     if (rebuild) {
       trace::Span roundSpan("search", "cover.clique-round");
@@ -136,7 +156,6 @@ Schedule CoveringEngine::run(CoverStats* stats) {
           st.cliquesGenerated > options_.maxTotalCliques)
         throw ResourceLimitExceeded("total cliques", st.cliquesGenerated,
                                     options_.maxTotalCliques);
-      heights = graph_.levelsFromTop();
       rebuild = false;
     }
 
@@ -397,14 +416,6 @@ Schedule CoveringEngine::run(CoverStats* stats) {
 
     // No selectable clique: all remaining groupings would exceed register
     // resources (Section IV-D spill path).
-    if (std::getenv("AVIV_COVER_DEBUG") != nullptr) {
-      fprintf(stderr, "[cover] spill needed; covered=%zu/%zu ready=%zu\n",
-              covered.count(), covered.size(), ready.count());
-      ready.forEach([&](size_t i) {
-        fprintf(stderr, "[cover]   ready %s\n",
-                graph_.describe(static_cast<AgId>(i)).c_str());
-      });
-    }
     AVIV_REQUIRE_MSG(anyReadyClique,
                      "ready nodes exist but no clique contains one");
     if (st.spillsInserted >= static_cast<int>(spillGuard))
@@ -426,6 +437,7 @@ Schedule CoveringEngine::run(CoverStats* stats) {
     for (AgId id = 0; id < graph_.size(); ++id)
       if (graph_.node(id).deleted()) covered.set(id);
     graph_.verify();
+    bound.reset(graph_);
     rebuild = true;
   }
 

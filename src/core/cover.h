@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/assigned.h"
@@ -43,6 +44,10 @@ struct CoverStats {
   size_t candidatesAbandoned = 0;   // candidates abandoned with no fitting
                                     // member subset (register pressure)
   int spillsInserted = 0;  // victim values spilled (Table I "#Spills")
+  // Largest (instructions emitted + spill-invariant remaining bound) seen at
+  // any round start: a lower bound on this candidate's final instruction
+  // count, and what the abandon test compares with the incumbent.
+  int lowerBound = 0;
 };
 
 class CoveringEngine {
@@ -64,6 +69,13 @@ class CoveringEngine {
   // Runs the covering; throws aviv::Error when the register files are too
   // small to hold the block's outputs / any feasible schedule.
   [[nodiscard]] Schedule run(CoverStats* stats = nullptr);
+
+  // Branch-and-bound form: at the start of every round, abandons the
+  // candidate (returns nullopt) when the instructions
+  // emitted plus the spill-invariant bound on the rest (core/bound.h)
+  // exceed `incumbent`. The test is strict, so an abandoned candidate could
+  // neither beat nor tie the incumbent. Otherwise identical to run().
+  [[nodiscard]] std::optional<Schedule> run(CoverStats* stats, int incumbent);
 
  private:
   AssignedGraph& graph_;

@@ -28,7 +28,9 @@ class ParallelismMatrix {
   ParallelismMatrix(const AssignedGraph& graph, int levelWindow);
 
   // Recomputes the matrix in place, reusing row storage and the workspace's
-  // descendant/topo scratch instead of allocating per round.
+  // descendant/topo scratch instead of allocating per round. Leaves the
+  // graph's levels from the top in ws.levelTop (as levelsFromTop computes
+  // them) for the caller.
   void rebuild(const AssignedGraph& graph, int levelWindow,
                CoverWorkspace& ws);
 

@@ -1,8 +1,7 @@
 // CoverWorkspace — per-worker scratch memory for the covering engine.
 //
-// One workspace is owned by each search worker (and cached on the
-// CodegenContext between compiles, so a warm daemon re-covers blocks
-// without touching malloc). It bundles:
+// coverBlock creates one workspace per search worker for the duration of a
+// covering. It bundles:
 //   * an Arena for per-candidate scratch (clique recursion buffers,
 //     materialization maps) — rewound via ArenaScope after each candidate,
 //     chunks retained;
@@ -16,8 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/parallel_matrix.h"
@@ -60,39 +57,32 @@ struct CoverWorkspace {
   // Spill-pressure and scheduling scratch.
   std::vector<int> pressure;
   std::vector<uint32_t> tryOrder;
-  std::vector<uint32_t> heights;
 
   // Graph-analysis scratch (descendants, topological order).
   std::vector<DynBitset> desc;
   std::vector<uint32_t> topoOrder;
   std::vector<uint32_t> topoPending;
 
+  // Levels from the top of the graph, left by ParallelismMatrix::rebuild
+  // (the covering engine's critical-path priority), and from the bottom
+  // (the level window's scratch).
+  std::vector<int> levelTop;
+  std::vector<int> levelBottom;
+
+  // ParallelismMatrix::rebuild scratch: live nodes, ancestors (descendants
+  // transposed), resource-contention masks per unit and per bus, nodes per
+  // level from the top and from the bottom, and one level band.
+  DynBitset matrixLive;
+  DynBitset matrixWindow;
+  std::vector<DynBitset> ancestors;
+  std::vector<DynBitset> unitMask;
+  std::vector<DynBitset> busMask;
+  std::vector<DynBitset> topLevelMask;
+  std::vector<DynBitset> bottomLevelMask;
+
   // Parallelism matrix reused across clique rounds and candidates (row
   // storage persists; rebuild() resizes in place).
   ParallelismMatrix matrix;
-};
-
-// Thread-safe pool of workspaces, cached on the CodegenContext so a warm
-// daemon reuses the same scratch (arena chunks, bitset words) across
-// compiles instead of re-allocating per request.
-class WorkspaceCache {
- public:
-  [[nodiscard]] std::unique_ptr<CoverWorkspace> acquire() {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (free_.empty()) return std::make_unique<CoverWorkspace>();
-    std::unique_ptr<CoverWorkspace> ws = std::move(free_.back());
-    free_.pop_back();
-    return ws;
-  }
-  void release(std::unique_ptr<CoverWorkspace> ws) {
-    if (ws == nullptr) return;
-    const std::lock_guard<std::mutex> lock(mu_);
-    free_.push_back(std::move(ws));
-  }
-
- private:
-  std::mutex mu_;
-  std::vector<std::unique_ptr<CoverWorkspace>> free_;
 };
 
 }  // namespace aviv

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/assign_explore.h"
 #include "core/assigned.h"
+#include "core/cover.h"
 #include "ir/parser.h"
 #include "isdl/parser.h"
 #include "support/rng.h"
@@ -11,13 +14,17 @@
 namespace aviv {
 namespace {
 
+// The hot-path generator (pivoted Bron–Kerbosch) against the paper's Fig 8
+// algorithm as the independent oracle: same canonical clique set.
 void expectSameCliques(const ParallelismMatrix& matrix,
                        const DynBitset& active) {
   CliqueGenStats stats;
-  const auto fig8 = generateMaximalCliques(matrix, active, 100000, &stats);
-  const auto reference = referenceMaximalCliques(matrix, active);
-  ASSERT_EQ(fig8.size(), reference.size());
-  for (size_t i = 0; i < fig8.size(); ++i) EXPECT_EQ(fig8[i], reference[i]);
+  const auto bronKerbosch =
+      generateMaximalCliques(matrix, active, 100000, &stats);
+  const auto fig8 = fig8MaximalCliques(matrix, active, 100000);
+  EXPECT_FALSE(stats.capped);
+  ASSERT_EQ(bronKerbosch.size(), fig8.size());
+  for (size_t i = 0; i < fig8.size(); ++i) EXPECT_EQ(bronKerbosch[i], fig8[i]);
 }
 
 TEST(CliqueGen, MatchesBronKerboschOnRealBlocks) {
@@ -129,6 +136,10 @@ TEST(CliqueGen, LevelWindowReducesCliqueCount) {
   EXPECT_LE(windowedStats.emitted, fullStats.emitted);
 }
 
+// The cap is deterministic and exact: a capped run returns the first
+// maxCliques cliques of the generator's fixed enumeration order (a subset of
+// the full canonical set, itself in canonical order), and `capped` is set
+// iff at least one maximal clique was dropped.
 TEST(CliqueGen, CapSetsFlag) {
   const Machine machine = loadMachine("arch1");
   const MachineDatabases dbs(machine);
@@ -140,10 +151,55 @@ TEST(CliqueGen, CapSetsFlag) {
       AssignedGraph::materialize(snd, assignment, options);
   const ParallelismMatrix matrix(graph, -1);
   DynBitset active(graph.size(), true);
+  CliqueGenStats fullStats;
+  const auto full = generateMaximalCliques(matrix, active, 100000, &fullStats);
+  ASSERT_GT(full.size(), 2u);
+  EXPECT_FALSE(fullStats.capped);
+
   CliqueGenStats stats;
   const auto cliques = generateMaximalCliques(matrix, active, 2, &stats);
-  EXPECT_LE(cliques.size(), 2u);
+  EXPECT_EQ(cliques.size(), 2u);
   EXPECT_TRUE(stats.capped);
+  EXPECT_TRUE(std::is_sorted(
+      cliques.begin(), cliques.end(),
+      [](const DynBitset& a, const DynBitset& b) { return a.lexLess(b); }));
+  for (const DynBitset& clique : cliques)
+    EXPECT_NE(std::find(full.begin(), full.end(), clique), full.end());
+  CliqueGenStats again;
+  EXPECT_EQ(generateMaximalCliques(matrix, active, 2, &again), cliques);
+  EXPECT_EQ(again.recursions, stats.recursions);
+
+  // Exactly at the clique count nothing is dropped; one below, one is.
+  CliqueGenStats exact;
+  EXPECT_EQ(generateMaximalCliques(matrix, active, full.size(), &exact), full);
+  EXPECT_FALSE(exact.capped);
+  CliqueGenStats oneShort;
+  EXPECT_EQ(
+      generateMaximalCliques(matrix, active, full.size() - 1, &oneShort)
+          .size(),
+      full.size() - 1);
+  EXPECT_TRUE(oneShort.capped);
+}
+
+// A capped round may miss nodes; the covering engine backfills singletons,
+// so a covering under a tiny cap still schedules every node legally
+// (CoveringEngine::run verifies its schedule before returning).
+TEST(CliqueGen, CappedRoundsStillCoverEveryNode) {
+  const Machine machine = loadMachine("arch1");
+  const MachineDatabases dbs(machine);
+  for (const char* block : {"ex2", "ex5"}) {
+    CodegenOptions options;
+    options.maxCliquesPerRound = 1;
+    const BlockDag dag = loadBlock(block);
+    const SplitNodeDag snd = SplitNodeDag::build(dag, machine, dbs, options);
+    const auto assignment =
+        AssignmentExplorer(snd, options).explore().front();
+    AssignedGraph graph = AssignedGraph::materialize(snd, assignment, options);
+    CoveringEngine engine(graph, dbs.transfers, dbs.constraints, options);
+    CoverStats stats;
+    const Schedule schedule = engine.run(&stats);
+    EXPECT_GT(schedule.numInstructions(), 0) << block;
+  }
 }
 
 TEST(CliqueGen, SingleNodeGraphGivesSingletonClique) {

@@ -290,5 +290,46 @@ TEST(Legality, LegalCliquesPassThroughUnchanged) {
   EXPECT_EQ(legal.size(), before);
 }
 
+// Over every assignment of the shipped blocks on machines with ISDL
+// constraints (arch4, zoo/constrained) and multi-capacity buses (zoo/asym,
+// zoo/wide): the hot-path generator matches the Fig 8 oracle, and the
+// legality pass returns legal, covering groupings none of which is a subset
+// of another — whether or not it had to split (it skips the subset filter
+// when nothing was split).
+TEST(Legality, SameLegalCliquesFromBothGenerators) {
+  for (const char* machineName :
+       {"arch4", "zoo/constrained", "zoo/asym", "zoo/wide"}) {
+    const Machine machine = loadMachine(machineName);
+    const MachineDatabases dbs(machine);
+    for (const char* block : {"ex1", "ex2", "ex3", "ex4", "ex5"}) {
+      const BlockDag dag = loadBlock(block);
+      const CodegenOptions options;
+      const SplitNodeDag snd = SplitNodeDag::build(dag, machine, dbs, options);
+      for (const Assignment& assignment :
+           AssignmentExplorer(snd, options).explore()) {
+        const AssignedGraph graph =
+            AssignedGraph::materialize(snd, assignment, options);
+        const ParallelismMatrix matrix(graph, -1);
+        DynBitset active(graph.size(), true);
+        auto cliques = generateMaximalCliques(matrix, active, 100000);
+        ASSERT_EQ(cliques, fig8MaximalCliques(matrix, active, 100000))
+            << block << " on " << machineName;
+        const auto legal =
+            enforceLegality(std::move(cliques), graph, dbs.constraints);
+        DynBitset covered(graph.size());
+        for (size_t i = 0; i < legal.size(); ++i) {
+          EXPECT_TRUE(cliqueIsLegal(legal[i], graph, dbs.constraints));
+          covered |= legal[i];
+          for (size_t j = 0; j < legal.size(); ++j)
+            if (i != j)
+              EXPECT_FALSE(legal[i].isSubsetOf(legal[j]))
+                  << block << " on " << machineName;
+        }
+        EXPECT_EQ(covered, active) << block << " on " << machineName;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace aviv
